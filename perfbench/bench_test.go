@@ -160,6 +160,37 @@ func TestSummariseTail(t *testing.T) {
 	if d := summarise([]float64{3, 1, 2}); d.Tail != 3 || d.TailPct != 100 {
 		t.Fatalf("few samples: %+v, want the maximum at p100", d)
 	}
+	// 1,000 samples make five blocks of 200, each with its tail at p95;
+	// the reported tail is their median.
+	xs = make([]float64, 1000)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	if d := summarise(xs); d.Blocks != 5 || d.Tail != 590 || d.TailPct != 95 {
+		t.Fatalf("five blocks: %+v, want the median of 190, 390, ..., 990 at p95", d)
+	}
+	// 18 samples leave one beyond the tail.
+	if d := summarise(xs[:18]); d.Tail != 17 {
+		t.Fatalf("18 samples: %+v, want the second highest", d)
+	}
+}
+
+func TestRateMeterWindows(t *testing.T) {
+	var rec runRecord
+	start := time.Now().Add(-rateWindow - time.Millisecond)
+	m := newRateMeter(start)
+	rec.Verdicts = 500
+	m.mark(&rec)
+	if len(rec.RateWindows) != 1 {
+		t.Fatalf("%d windows after crossing the first boundary, want 1", len(rec.RateWindows))
+	}
+	if r := rec.RateWindows[0]; r > 500/rateWindow.Seconds() || r < 400/rateWindow.Seconds() {
+		t.Fatalf("window rate %v, want just under %v", r, 500/rateWindow.Seconds())
+	}
+	m.mark(&rec)
+	if len(rec.RateWindows) != 1 {
+		t.Fatalf("a mark inside the next window closed it")
+	}
 }
 
 // BENCHMARK.json must name exactly the workloads and metrics the

@@ -226,6 +226,7 @@ func runEdge(ctx context.Context, s spec, seed uint64, seconds int, traced bool,
 	rec.Verdicts = 0 // verdicts_per_s counts the steady phase only
 	steadyStart := time.Now()
 	deadline := steadyStart.Add(time.Duration(seconds) * time.Second)
+	rate := newRateMeter(steadyStart)
 	next := 0
 	for i := 1; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
 		traceThis := traced && (i/traceBlock)%2 == 0
@@ -279,6 +280,7 @@ func runEdge(ctx context.Context, s spec, seed uint64, seconds int, traced bool,
 			rec.RegisterUs = append(rec.RegisterUs, us(time.Since(t)))
 			next++
 		}
+		rate.mark(rec)
 	}
 	rec.SteadyS = time.Since(steadyStart).Seconds()
 	m1 := r.metrics()

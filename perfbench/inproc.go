@@ -35,7 +35,11 @@ func runInProcess(s spec, seed uint64, seconds int, traced bool) *runRecord {
 			if _, err := g.QuoteRegister(r.ID, r.Text); err != nil {
 				rec.fail("quote %s: %v", r.ID, err)
 			}
-			acc.quoteUs = append(acc.quoteUs, us(time.Since(t)))
+			// Quotes are kept for the registrations register_* times:
+			// on churn, the writer's, not the set-up storm's.
+			if storm {
+				acc.quoteUs = append(acc.quoteUs, us(time.Since(t)))
+			}
 		}
 		t := time.Now()
 		err := g.Register(r.ID, r.Text)
@@ -71,6 +75,7 @@ func runInProcess(s spec, seed uint64, seconds int, traced bool) *runRecord {
 	var wg sync.WaitGroup
 	steadyStart := time.Now()
 	deadline := steadyStart.Add(time.Duration(seconds) * time.Second)
+	rate := newRateMeter(steadyStart)
 	if s.churnEvery > 0 {
 		wg.Add(1)
 		go func() {
@@ -123,6 +128,7 @@ func runInProcess(s spec, seed uint64, seconds int, traced bool) *runRecord {
 			}
 			fs.checkRead(rec, id, got)
 		}
+		rate.mark(rec)
 	}
 	close(stop)
 	wg.Wait()

@@ -26,7 +26,6 @@ import (
 	"os/signal"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 )
@@ -36,10 +35,6 @@ const runBudget = 170 * time.Second
 
 // edgeClientHeap is the heap size at which the edge client collects.
 const edgeClientHeap = 256 << 20
-
-// minRunTailSamples is the fewest samples a run needs for its own tail
-// (10 beyond) to sit at p90 or higher.
-const minRunTailSamples = 100
 
 func main() {
 	var (
@@ -202,6 +197,7 @@ func assemble(recs []*runRecord, traced bool) *result {
 		all.absorb(r)
 		all.TickMs = append(all.TickMs, r.TickMs...)
 		all.ReadUs = append(all.ReadUs, r.ReadUs...)
+		all.RateWindows = append(all.RateWindows, r.RateWindows...)
 		all.Verdicts += r.Verdicts
 		all.SteadyTicks += r.SteadyTicks
 		setups = append(setups, r.SetupS)
@@ -222,27 +218,10 @@ func assemble(recs []*runRecord, traced bool) *result {
 		}
 		return res
 	}
-	// p50s come from the pooled samples. A tail is the median of the
-	// runs' own tails, since a pooled tail would be set by the single
-	// worst run; where a run has too few samples for its own tail to be
-	// one (churn's writer), it comes from the pooled samples.
 	tick, reg, read := summarise(all.TickMs), summarise(all.RegisterUs), summarise(all.ReadUs)
-	tails := func(pooled dist, pick func(*runRecord) []float64) (float64, string) {
-		var ts []float64
-		var notes []string
-		for _, r := range recs {
-			d := summarise(pick(r))
-			if d.N < minRunTailSamples {
-				return pooled.Tail, fmt.Sprintf("pooled p%.2f, %d samples beyond", pooled.TailPct, min(tailBeyond, pooled.N-1))
-			}
-			ts = append(ts, d.Tail)
-			notes = append(notes, fmt.Sprintf("p%.2f", d.TailPct))
-		}
-		return median(ts), "median of run tails at " + strings.Join(notes, " ")
+	tailNote := func(d dist) string {
+		return fmt.Sprintf("median of %d block tails at p%.2f", d.Blocks, d.TailPct)
 	}
-	tickTail, tickNote := tails(tick, func(r *runRecord) []float64 { return r.TickMs })
-	regTail, regNote := tails(reg, func(r *runRecord) []float64 { return r.RegisterUs })
-	readTail, readNote := tails(read, func(r *runRecord) []float64 { return r.ReadUs })
 	runs := len(recs)
 	values := map[string]struct {
 		v    float64
@@ -251,12 +230,12 @@ func assemble(recs []*runRecord, traced bool) *result {
 	}{
 		"setup_s":          {median(setups), runs, fmt.Sprintf("median of %d set-ups", runs)},
 		"tick_p50_ms":      {tick.P50, tick.N, "p50"},
-		"tick_tail_ms":     {tickTail, tick.N, tickNote},
-		"verdicts_per_s":   {ratio(float64(all.Verdicts), steadyS), all.SteadyTicks, fmt.Sprintf("%d verdicts in %.2f s", all.Verdicts, steadyS)},
+		"tick_tail_ms":     {tick.Tail, tick.N, tailNote(tick)},
+		"verdicts_per_s":   {median(all.RateWindows), len(all.RateWindows), fmt.Sprintf("median of %.0f s windows; %d verdicts in %.2f s", rateWindow.Seconds(), all.Verdicts, steadyS)},
 		"register_p50_us":  {reg.P50, reg.N, "p50"},
-		"register_tail_us": {regTail, reg.N, regNote},
+		"register_tail_us": {reg.Tail, reg.N, tailNote(reg)},
 		"read_p50_us":      {read.P50, read.N, "p50"},
-		"read_tail_us":     {readTail, read.N, readNote},
+		"read_tail_us":     {read.Tail, read.N, tailNote(read)},
 		"j_per_tick":       {ratio(paid, float64(all.SteadyTicks)), all.SteadyTicks, "paid acquisition cost per steady tick"},
 		"mem_mb":           {median(mems), runs, fmt.Sprintf("median peak RSS of %d serving processes", runs)},
 		"ok_frac":          {1 - ratio(float64(all.Failed), float64(res.Attempted)), int(res.Attempted), fmt.Sprintf("%d of %d operations failed", all.Failed, res.Attempted)},

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"paotr/internal/service"
 )
@@ -25,6 +26,9 @@ type runRecord struct {
 	SteadyS     float64   `json:"steady_s"`
 	SteadyTicks int       `json:"steady_ticks"`
 	Verdicts    int64     `json:"verdicts"`
+	// RateWindows holds the verdicts per second of each rateWindow of
+	// the steady phase.
+	RateWindows []float64 `json:"rate_windows"`
 	JPerTick    float64   `json:"j_per_tick"`
 	MemMB       float64   `json:"mem_mb"`
 
@@ -42,6 +46,38 @@ type runRecord struct {
 }
 
 const maxFailureNotes = 20
+
+// rateWindow is the length of the windows verdicts_per_s is measured
+// over. The reported rate is the median window's, so that a stall of the
+// host in one window does not set it.
+const rateWindow = time.Second
+
+// rateMeter cuts the steady phase into windows, each closed by the first
+// loop iteration to end after a whole multiple of rateWindow since the
+// start, and records each window's verdicts per second. Windows hold
+// whole iterations, so each rate is exact.
+type rateMeter struct {
+	next, from time.Time
+	verdicts   int64
+}
+
+func newRateMeter(start time.Time) *rateMeter {
+	return &rateMeter{next: start.Add(rateWindow), from: start}
+}
+
+// mark is called at the end of every loop iteration; it closes the
+// current window once the iteration has crossed its boundary.
+func (m *rateMeter) mark(rec *runRecord) {
+	now := time.Now()
+	if now.Before(m.next) {
+		return
+	}
+	rec.RateWindows = append(rec.RateWindows, float64(rec.Verdicts-m.verdicts)/now.Sub(m.from).Seconds())
+	m.from, m.verdicts = now, rec.Verdicts
+	for !m.next.After(now) {
+		m.next = m.next.Add(rateWindow)
+	}
+}
 
 // fail counts one failed operation and keeps its description.
 func (r *runRecord) fail(format string, args ...any) {

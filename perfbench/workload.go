@@ -28,7 +28,8 @@ type spec struct {
 	relay  float64
 	// churnEvery is the open-loop arrival interval of the churn writer:
 	// each arrival unregisters the oldest unpinned tenant and registers a
-	// fresh distinct shape (0 = no writer).
+	// fresh distinct shape (0 = no writer). Arrivals fall half an interval
+	// after each multiple of it, so every rateWindow holds the same number.
 	churnEvery time.Duration
 	// edge serves the fleet from a paotrserve process over HTTP instead
 	// of in process; edgeChurnTicks is the tick period of its DELETE plus
@@ -49,7 +50,7 @@ const (
 var specs = []spec{
 	{name: "twins", tenants: 20000, shapes: 100, shards: 1},
 	{name: "distinct", tenants: 240, shapes: 240, jitter: 0.05, shards: 1},
-	{name: "churn", tenants: 2000, shapes: 200, shards: 4, relay: 0.1, churnEvery: 200 * time.Millisecond},
+	{name: "churn", tenants: 2000, shapes: 200, shards: 4, relay: 0.1, churnEvery: time.Second},
 	{name: "edge", tenants: 2000, shapes: 200, shards: 1, edge: true, edgeChurnTicks: 2},
 }
 
@@ -247,7 +248,7 @@ func (s spec) opSchedule(seed uint64, seconds int) schedule {
 	if s.churnEvery > 0 {
 		sc.due = make([]time.Duration, n)
 		for k := range sc.due {
-			sc.due[k] = time.Duration(k+1) * s.churnEvery
+			sc.due[k] = time.Duration(k)*s.churnEvery + s.churnEvery/2
 		}
 	}
 	return sc
