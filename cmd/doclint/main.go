@@ -12,8 +12,10 @@
 //     exported symbol as a build defect.
 //  2. Docs freshness: every CLI flag declared by cmd/paotrserve and
 //     cmd/paotrload and every HTTP route paotrserve registers must be
-//     mentioned in docs/OPERATIONS.md. Adding a flag or endpoint
-//     without documenting how to operate it fails the build.
+//     mentioned in docs/OPERATIONS.md, and every flag row of the
+//     runbook's tables must name a flag one of them declares. Adding a
+//     flag or endpoint without documenting how to operate it fails the
+//     build, and so does deleting a flag but not its runbook row.
 //
 // Usage:
 //
@@ -187,7 +189,8 @@ func receiverName(recv *ast.FieldList) string {
 }
 
 // checkFreshness asserts every flag of flagDirs and every route of
-// routeDir appears in the runbook.
+// routeDir appears in the runbook, and every flag row of the runbook
+// names a flag some command of flagDirs declares.
 func checkFreshness(root string) ([]string, error) {
 	docBytes, err := os.ReadFile(filepath.Join(root, runbook))
 	if err != nil {
@@ -195,15 +198,22 @@ func checkFreshness(root string) ([]string, error) {
 	}
 	doc := string(docBytes)
 	var out []string
+	declared := map[string]bool{}
 	for _, dir := range flagDirs {
 		flags, err := collectFlags(filepath.Join(root, dir))
 		if err != nil {
 			return nil, err
 		}
 		for _, fl := range flags {
+			declared[fl] = true
 			if !strings.Contains(doc, "-"+fl) {
 				out = append(out, fmt.Sprintf("%s: flag -%s is not documented in %s", dir, fl, runbook))
 			}
+		}
+	}
+	for _, fl := range flagRows(doc) {
+		if !declared[fl] {
+			out = append(out, fmt.Sprintf("%s: flag row -%s names no flag of %s", runbook, fl, strings.Join(flagDirs, " or ")))
 		}
 	}
 	routes, err := collectRoutes(filepath.Join(root, routeDir))
@@ -216,6 +226,22 @@ func checkFreshness(root string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// flagRows returns the flag names of the runbook's flag-table rows, the
+// lines whose first cell is a backquoted flag ("| `-addr` | ...").
+func flagRows(doc string) []string {
+	var out []string
+	for _, line := range strings.Split(doc, "\n") {
+		rest, ok := strings.CutPrefix(line, "| `-")
+		if !ok {
+			continue
+		}
+		if name, _, ok := strings.Cut(rest, "`"); ok {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // collectFlags parses one command directory for flag.<Type>("name",...)

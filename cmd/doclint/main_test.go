@@ -133,6 +133,42 @@ func main() { _ = flag.Int("load-knob", 0, "") }
 	}
 }
 
+// TestFreshnessFlagsStaleRows proves the reverse direction: a runbook
+// flag row naming a flag neither command declares (a deleted flag whose
+// row lingered) is a violation, while rows for declared flags of either
+// command pass.
+func TestFreshnessFlagsStaleRows(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "cmd/paotrserve/main.go", `package main
+
+import "flag"
+
+func main() { _ = flag.Bool("kept", false, "") }
+`)
+	write(t, root, "cmd/paotrload/main.go", `package main
+
+import "flag"
+
+func main() { _ = flag.Int("load-knob", 0, "") }
+`)
+	write(t, root, "docs/OPERATIONS.md", strings.Join([]string{
+		"| Flag | Default | Meaning |",
+		"|---|---|---|",
+		"| `-kept` | off | Still declared. |",
+		"| `-load-knob` | `0` | Declared by paotrload. |",
+		"| `-gone` | on | Deleted from the binary, row left behind. |",
+		"Prose may mention -gone freely.",
+	}, "\n"))
+	vs, err := checkFreshness(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(vs, "\n")
+	if len(vs) != 1 || !strings.Contains(joined, "flag row -gone names no flag") {
+		t.Errorf("freshness found %d violations, want exactly the stale -gone row:\n%s", len(vs), joined)
+	}
+}
+
 // TestFreshnessNeedsRunbook: a deleted runbook is an error, not a pass.
 func TestFreshnessNeedsRunbook(t *testing.T) {
 	root := t.TempDir()

@@ -93,7 +93,7 @@ func writeProm(buf *bytes.Buffer, m service.Metrics, j *obs.Journal, traceSample
 		p.Value("paotr_stream_transfers_total", map[string]string{"stream": ps.Name}, float64(ps.Transferred))
 	}
 
-	// Tick-latency histograms (absent when -tick-hists=false): fleet-wide
+	// Tick-latency histograms (absent when the runtime records none): fleet-wide
 	// per phase, then the per-shard total-tick distributions.
 	if len(m.TickLatency) > 0 {
 		p.Header("paotr_tick_phase_seconds", "Tick latency by phase (plan/acquire/execute/fanout/total).", "histogram")

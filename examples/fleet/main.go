@@ -18,11 +18,18 @@ package main
 import (
 	"fmt"
 
+	"paotr/internal/engine"
 	"paotr/internal/service"
 	"paotr/internal/stream"
 )
 
 const tenants = 6
+
+// independentExecutor runs the linear executor under another type. The
+// service plans jointly only the queries whose executor is
+// engine.LinearExecutor itself, so every query under this wrapper plans
+// on its own — the paper's per-query scheduling, the baseline arm here.
+type independentExecutor struct{ engine.LinearExecutor }
 
 // newFleet builds one shared expensive stream plus a cheap private
 // stream per tenant, and registers each tenant's two-branch query.
@@ -37,7 +44,11 @@ func newFleet(seed uint64, fleetPlanning bool) *service.Service {
 			panic(err)
 		}
 	}
-	svc := service.New(reg, service.WithWorkers(4), service.WithFleetPlanning(fleetPlanning))
+	opts := []service.Option{service.WithWorkers(4)}
+	if !fleetPlanning {
+		opts = append(opts, service.WithExecutor(independentExecutor{}))
+	}
+	svc := service.New(reg, opts...)
 	for i := 0; i < tenants; i++ {
 		text := fmt.Sprintf(
 			"(AVG(shared,4) > 0.2 [p=0.5]) OR (AVG(private%d,4) > 0.2 [p=0.5])", i)

@@ -21,9 +21,9 @@ func TracingEnabled() bool { return tracingGate.Load() != 0 }
 // or a replan, and the modelled vs realized cost of the execution.
 type ClassTrace struct {
 	// Leader is the query id that evaluated for the class this tick;
-	// Shape the class's stable plan key (shape hash, or the query id when
-	// shape factoring is off); Subscribers how many due identities the
-	// verdict fanned out to (including the leader).
+	// Shape the class's stable plan key (derived from the shape hash);
+	// Subscribers how many due identities the verdict fanned out to
+	// (including the leader).
 	Leader      string `json:"leader"`
 	Shape       string `json:"shape"`
 	Subscribers int    `json:"subscribers"`

@@ -18,7 +18,7 @@ import (
 func regimeService(tb testing.TB, cfg corpus.RegimeConfig, cumulative bool, opts ...Option) *Service {
 	tb.Helper()
 	if cumulative {
-		opts = append(opts, WithCumulativeEstimator())
+		opts = append(opts, withCumulativeEstimator())
 	}
 	svc := New(corpus.RegimeRegistry(cfg), opts...)
 	for i, q := range corpus.RegimeQueries(cfg) {

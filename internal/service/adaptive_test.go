@@ -79,7 +79,11 @@ func TestAdaptiveAndLinearSharedMatchesSequential(t *testing.T) {
 // report the duplicate first-leaf pulls it coalesced away.
 func TestBatchingCostNeutralAndCountsDuplicates(t *testing.T) {
 	run := func(batch bool) ([]TickResult, Metrics) {
-		svc := New(testRegistry(9), WithWorkers(4), WithBatchedAcquisition(batch))
+		opts := []Option{WithWorkers(4)}
+		if !batch {
+			opts = append(opts, withoutBatching())
+		}
+		svc := New(testRegistry(9), opts...)
 		for i, qtext := range fleetQueries() {
 			if err := svc.Register(fmt.Sprintf("q%d", i), qtext); err != nil {
 				t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"paotr/internal/admit"
+	"paotr/internal/engine"
 	"paotr/internal/obs"
 )
 
@@ -84,6 +85,82 @@ func TestQuoteRegisterMatchesRealizedDelta(t *testing.T) {
 	}
 	if quote.MarginalJPerTick >= quote.IndependentJPerTick-1e-9 {
 		t.Fatalf("no overlap discount: marginal %.9f, independent %.9f", quote.MarginalJPerTick, quote.IndependentJPerTick)
+	}
+}
+
+// pinnedFleet registers pinnedFleetQueries on a fresh service (no ticks,
+// so every quote prices against a cold cache).
+func pinnedFleet(t *testing.T) *Service {
+	t.Helper()
+	s := New(testRegistry(5))
+	for i, q := range pinnedFleetQueries() {
+		if err := s.Register(string(rune('a'+i)), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// overlapNewcomer shares heart-rate and spo2 windows with the pinned
+// fleet, so a linear registration of it earns an overlap discount.
+const overlapNewcomer = "AVG(heart-rate,8) > 95 [p=0.5] AND AVG(spo2,6) < 94 [p=0.6]"
+
+// TestQuoteNonLinearPaysIndependent: a query under a non-linear executor
+// never joins the joint plan, so its quoted marginal cost is exactly its
+// independent price — even where a linear twin of it would be
+// discounted by the resident fleet's overlap.
+func TestQuoteNonLinearPaysIndependent(t *testing.T) {
+	s := pinnedFleet(t)
+	lin, err := s.QuoteRegister("lin", overlapNewcomer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lin.MarginalJPerTick >= lin.IndependentJPerTick-1e-9 {
+		t.Fatalf("linear newcomer got no overlap discount: marginal %.9f, independent %.9f",
+			lin.MarginalJPerTick, lin.IndependentJPerTick)
+	}
+	ad, err := s.QuoteRegister("ad", overlapNewcomer, WithQueryExecutor(engine.AdaptiveExecutor{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ad.SharedShape || ad.MarginalJPerTick != ad.IndependentJPerTick {
+		t.Fatalf("adaptive quote %+v, want marginal == independent", ad)
+	}
+	if ad.IndependentJPerTick != lin.IndependentJPerTick {
+		t.Fatalf("independent price depends on the executor: adaptive %.9f, linear %.9f",
+			ad.IndependentJPerTick, lin.IndependentJPerTick)
+	}
+}
+
+// TestQuoteSkipsResidentNonLinearClass: the joint dry run prices a
+// newcomer against the resident linear classes only. A resident adaptive
+// query plans on its own, so it must leave a linear newcomer's quote
+// exactly where it is without it — while the same resident registered
+// linear does move the quote.
+func TestQuoteSkipsResidentNonLinearClass(t *testing.T) {
+	const resident = "AVG(heart-rate,8) > 120 [p=0.2] OR AVG(spo2,6) < 90 [p=0.3]"
+	quote := func(opts ...QueryOption) Quote {
+		s := pinnedFleet(t)
+		if opts != nil {
+			if err := s.Register("resident", resident, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q, err := s.QuoteRegister("x", overlapNewcomer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	without := quote()
+	adaptive := quote(WithQueryExecutor(engine.AdaptiveExecutor{}))
+	linear := quote(WithQueryExecutor(engine.LinearExecutor{}))
+	if adaptive != without {
+		t.Fatalf("resident adaptive class entered the dry run: quote %+v, without it %+v", adaptive, without)
+	}
+	if linear.MarginalJPerTick == without.MarginalJPerTick {
+		t.Fatalf("resident linear class did not move the quote (%.9f): the check has no teeth",
+			linear.MarginalJPerTick)
 	}
 }
 

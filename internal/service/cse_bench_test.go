@@ -9,30 +9,18 @@ import (
 	"time"
 
 	"paotr/internal/corpus"
-	"paotr/internal/stream"
 )
 
 // cseBenchService registers a duplicated-shape fleet for the CSE
-// benchmark (one worker, so per-tick work is deterministic).
-func cseBenchService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
+// benchmark (one worker, so per-tick work is deterministic), each tenant
+// under its own soloExecutor when soloTenants is set (see cseFleet).
+func cseBenchService(tb testing.TB, cfg corpus.CSEConfig, soloTenants bool, opts ...Option) *Service {
 	tb.Helper()
-	reg := stream.NewRegistry()
-	for i, name := range cfg.StreamNames() {
-		if err := reg.Add(stream.Uniform(name, uint64(i+1)), stream.CostModel{BaseJoules: 1}); err != nil {
-			tb.Fatal(err)
-		}
-	}
 	// History 8 on every arm: the per-identity Results buffer is an
 	// orthogonal O(tenants*history) product feature — at 10k tenants the
 	// default of 64 retains ~640k executions whose GC scanning would
 	// dominate the measurement on both sides of the comparison.
-	svc := New(reg, append([]Option{WithWorkers(1), WithHistory(8)}, opts...)...)
-	for _, q := range corpus.CSEFleet(cfg) {
-		if err := svc.Register(q.ID, q.Text); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return svc
+	return cseFleet(tb, cfg, soloTenants, append([]Option{WithWorkers(1), WithHistory(8)}, opts...)...)
 }
 
 // timeTicks returns the average steady-state wall-clock time of one
@@ -92,12 +80,13 @@ func TestWriteCSEBenchJSON(t *testing.T) {
 	}
 	cfg := corpus.CSEConfig{Tenants: 10000, Shapes: 100, Streams: 32, Seed: 271}
 
-	// The speedup arms run with per-query planning: the unfactored joint
-	// planner is quadratic across 10k queries and would dominate the
-	// unfactored tick, inflating the ratio. Disabling it on both sides
-	// isolates the evaluation-path factoring, so the gated speedup is a
-	// conservative lower bound on the end-to-end benefit.
-	factored := cseBenchService(t, cfg, WithFleetPlanning(false))
+	// The speedup arms run with per-query planning: a joint planner over
+	// 10k unfactored queries is quadratic and would dominate the
+	// unfactored tick, inflating the ratio. Planning per query on both
+	// sides (independentExecutor factored, one soloExecutor per tenant
+	// unfactored) isolates the evaluation-path factoring, so the gated
+	// speedup is a conservative lower bound on the end-to-end benefit.
+	factored := cseBenchService(t, cfg, false, WithExecutor(independentExecutor{}))
 	factoredTick := timeTicks(factored, 10, 100)
 	m := factored.Metrics()
 	if m.DistinctShapes != cfg.Shapes {
@@ -105,7 +94,7 @@ func TestWriteCSEBenchJSON(t *testing.T) {
 	}
 	factored = nil
 
-	unfactored := cseBenchService(t, cfg, WithFleetPlanning(false), WithShapeFactoring(false))
+	unfactored := cseBenchService(t, cfg, true)
 	unfactoredTick := timeTicks(unfactored, 2, 8)
 	unfactored = nil
 	runtime.GC() // drop the dead arms before the ratio-sensitive ones
@@ -113,11 +102,11 @@ func TestWriteCSEBenchJSON(t *testing.T) {
 	// The fan-out-overhead arm keeps the full default pipeline (joint
 	// fleet planning included): factored, 10k tenants over 100 shapes
 	// must tick close to a 100-query fleet holding one tenant per shape.
-	full := cseBenchService(t, cfg)
+	full := cseBenchService(t, cfg, false)
 	fullTick := timeTicks(full, 10, 100)
 	single := cfg
 	single.Tenants = cfg.Shapes
-	singleton := cseBenchService(t, single)
+	singleton := cseBenchService(t, single, false)
 	singletonTick := timeTicks(singleton, 10, 300)
 
 	speedup := unfactoredTick.Seconds() / factoredTick.Seconds()

@@ -60,7 +60,7 @@ func TestFleetPlanningSharedMatchesSequential(t *testing.T) {
 	const ticks = 60
 	queries := fleetQueries()
 
-	svc := New(testRegistry(seed), WithWorkers(8), WithFleetPlanning(true))
+	svc := New(testRegistry(seed), WithWorkers(8))
 	for i, q := range queries {
 		if err := svc.Register(fmt.Sprintf("q%d", i), q); err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func TestFleetPlanningRealizesSaving(t *testing.T) {
 		ticks = 120
 	}
 	run := func(fleetOn bool) Metrics {
-		svc := New(overlapRegistry(t, tenants, 99), WithWorkers(4), WithFleetPlanning(fleetOn))
+		svc := New(overlapRegistry(t, tenants, 99), WithWorkers(4), WithExecutor(linearExecutor(fleetOn)))
 		overlapFleet(t, svc, tenants)
 		svc.Run(ticks)
 		return svc.Metrics()
@@ -249,7 +249,7 @@ func TestRegisterInvalidatesFleetPlans(t *testing.T) {
 func BenchmarkFleetVsIndependent(b *testing.B) {
 	const tenants = 6
 	bench := func(b *testing.B, fleetOn bool) {
-		svc := New(overlapRegistry(b, tenants, 99), WithWorkers(4), WithFleetPlanning(fleetOn))
+		svc := New(overlapRegistry(b, tenants, 99), WithWorkers(4), WithExecutor(linearExecutor(fleetOn)))
 		overlapFleet(b, svc, tenants)
 		svc.Run(3) // steady state
 		start := svc.Metrics().PaidCost
@@ -268,7 +268,9 @@ func BenchmarkFleetVsIndependent(b *testing.B) {
 // many queries over many disjoint streams, each evaluating wide windows
 // on several streams, with stable annotated probabilities so the plan
 // caches absorb planning and phase 3's concurrent pulls are the
-// bottleneck the stripe count controls.
+// bottleneck the cache's lock stripe count controls. The service's
+// per-stream-locked cache is swapped for one with the given stripe count
+// (see acquisition.NewSharedStriped) before any query registers.
 func wideFleet(tb testing.TB, stripes int) *Service {
 	const streams = 16
 	reg := stream.NewRegistry()
@@ -277,7 +279,8 @@ func wideFleet(tb testing.TB, stripes int) *Service {
 			tb.Fatal(err)
 		}
 	}
-	svc := New(reg, WithWorkers(8), WithCacheStripes(stripes), WithBatchedAcquisition(false))
+	svc := New(reg, WithWorkers(8), withoutBatching())
+	svc.cache = acquisition.NewSharedStriped(reg, stripes)
 	for q := 0; q < 2*streams; q++ {
 		base := q % streams
 		text := fmt.Sprintf(
@@ -435,7 +438,7 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 	const tenants = 6
 	mkOverlap := func(fleetOn bool) func() *Service {
 		return func() *Service {
-			svc := New(overlapRegistry(t, tenants, 99), WithWorkers(4), WithFleetPlanning(fleetOn))
+			svc := New(overlapRegistry(t, tenants, 99), WithWorkers(4), WithExecutor(linearExecutor(fleetOn)))
 			overlapFleet(t, svc, tenants)
 			return svc
 		}

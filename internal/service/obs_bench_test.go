@@ -63,7 +63,7 @@ func TestWriteObsBenchJSON(t *testing.T) {
 	if out == "" {
 		t.Skip("set PAOTR_BENCH_OBS_JSON=<path> to write the benchmark artifact")
 	}
-	off := measureObsMode(t, WithTickHistograms(false))
+	off := measureObsMode(t, withoutTickHistograms())
 	off.Name = "obs/off"
 	hist := measureObsMode(t)
 	hist.Name = "obs/hist"

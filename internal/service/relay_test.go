@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -281,6 +282,48 @@ func TestShardedRemoteWorkers(t *testing.T) {
 	}
 	if tr := sh2.Tick(); len(tr.Executions) != standing-1 {
 		t.Fatalf("after unregister, tick merged %d executions, want %d", len(tr.Executions), standing-1)
+	}
+}
+
+// TestShardedRemoteWorkersEscapeIDs: query ids holding URL syntax ("/",
+// "?", "%", "#") must round-trip through the HTTP worker protocol —
+// results, per-query metrics, profiles and unregistration all reach the
+// right query on its worker.
+func TestShardedRemoteWorkersEscapeIDs(t *testing.T) {
+	const tenants = 4
+	endpoints := startRemoteFleet(t, tenants, 2, 0, 3)
+	sh, err := NewShardedRemote(overlapRegistry(t, tenants, 3), endpoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"a/b", "x?y", "p%q", "h#1"}
+	for i, id := range ids {
+		text := fmt.Sprintf("(AVG(shared,4) > 0.2 [p=0.5]) OR (AVG(private%d,4) > 0.2 [p=0.5])", i)
+		if err := sh.Register(id, text); err != nil {
+			t.Fatalf("register %q: %v", id, err)
+		}
+	}
+	sh.Run(3)
+	for _, id := range ids {
+		res, err := sh.Results(id, 1)
+		if err != nil || len(res) != 1 || res[0].ID != id {
+			t.Errorf("Results(%q) = %+v, %v; want its latest execution", id, res, err)
+		}
+		qm, err := sh.QueryMetrics(id)
+		if err != nil || qm.ID != id || qm.Executions != 3 {
+			t.Errorf("QueryMetrics(%q) = %+v, %v; want 3 executions", id, qm, err)
+		}
+		if _, keys, ok := sh.workers[sh.Assignment()[id]].ProfileTree(id); !ok || len(keys) == 0 {
+			t.Errorf("ProfileTree(%q) found no profile", id)
+		}
+	}
+	for _, id := range ids {
+		if err := sh.Unregister(id); err != nil {
+			t.Errorf("Unregister(%q): %v", id, err)
+		}
+	}
+	if tr := sh.Tick(); len(tr.Executions) != 0 {
+		t.Fatalf("after unregistering every id, tick merged %d executions: %+v", len(tr.Executions), tr.Executions)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 
@@ -400,8 +401,12 @@ func (rw *remoteWorker) Register(id, text string, opts ...QueryOption) error {
 	return rw.call(http.MethodPost, "/worker/queries", wq, nil)
 }
 
+// Unregister, like the per-query reads below, sends the id as one
+// escaped path segment: a raw "?", "#" or "%" would otherwise cut or
+// corrupt the URL (the worker's {id...} routes unescape it, "/"
+// included).
 func (rw *remoteWorker) Unregister(id string) error {
-	return rw.call(http.MethodDelete, "/worker/queries/"+id, nil, nil)
+	return rw.call(http.MethodDelete, "/worker/queries/"+url.PathEscape(id), nil, nil)
 }
 
 func (rw *remoteWorker) Tick() TickResult {
@@ -427,13 +432,13 @@ func (rw *remoteWorker) Tick() TickResult {
 
 func (rw *remoteWorker) Results(id string, n int) ([]Execution, error) {
 	var out []Execution
-	err := rw.call(http.MethodGet, "/worker/results/"+id+"?n="+strconv.Itoa(n), nil, &out)
+	err := rw.call(http.MethodGet, "/worker/results/"+url.PathEscape(id)+"?n="+strconv.Itoa(n), nil, &out)
 	return out, err
 }
 
 func (rw *remoteWorker) QueryMetrics(id string) (QueryMetrics, error) {
 	var out QueryMetrics
-	err := rw.call(http.MethodGet, "/worker/query-metrics/"+id, nil, &out)
+	err := rw.call(http.MethodGet, "/worker/query-metrics/"+url.PathEscape(id), nil, &out)
 	return out, err
 }
 
@@ -447,7 +452,7 @@ func (rw *remoteWorker) Metrics() Metrics {
 
 func (rw *remoteWorker) ProfileTree(id string) (*query.Tree, []string, bool) {
 	var out workerProfileResponse
-	if err := rw.call(http.MethodGet, "/worker/profile/"+id, nil, &out); err != nil || out.Tree == nil {
+	if err := rw.call(http.MethodGet, "/worker/profile/"+url.PathEscape(id), nil, &out); err != nil || out.Tree == nil {
 		return nil, nil, false
 	}
 	return out.Tree, out.PredKeys, true
@@ -508,7 +513,7 @@ func NewShardedRemote(reg *stream.Registry, endpoints []string, opts ...Option) 
 	if len(endpoints) == 0 {
 		return nil, errors.New("service: no worker endpoints")
 	}
-	cfg := config{balance: 0, shapeFactor: true}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -538,10 +543,8 @@ func NewShardedRemote(reg *stream.Registry, endpoints []string, opts ...Option) 
 			// adopted fleet may already hold a class split across workers
 			// (pre-factoring state); the next repartition reunites it.
 			ck := "id\x00" + wq.ID
-			if sh.shapeFactor {
-				if q, err := engine.New(reg).Compile(wq.Query); err == nil {
-					ck = coordClassKey(q, qopts)
-				}
+			if q, err := engine.New(reg).Compile(wq.Query); err == nil {
+				ck = coordClassKey(q, qopts)
 			}
 			sh.shapeOf[wq.ID] = ck
 			sh.classSize[ck]++

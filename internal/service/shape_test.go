@@ -16,6 +16,20 @@ import (
 // two services built from the same config observe identical items.
 func cseService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
 	tb.Helper()
+	return cseFleet(tb, cfg, false, opts...)
+}
+
+// cseSoloService is cseService with every tenant registered under its
+// own soloExecutor: the unfactored, independently planned baseline.
+func cseSoloService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
+	tb.Helper()
+	return cseFleet(tb, cfg, true, opts...)
+}
+
+// cseFleet builds the CSE fleet, registering each tenant under its own
+// soloExecutor when soloTenants is set.
+func cseFleet(tb testing.TB, cfg corpus.CSEConfig, soloTenants bool, opts ...Option) *Service {
+	tb.Helper()
 	reg := stream.NewRegistry()
 	for i, name := range cfg.StreamNames() {
 		if err := reg.Add(stream.Uniform(name, uint64(i+1)), stream.CostModel{BaseJoules: 1}); err != nil {
@@ -24,24 +38,44 @@ func cseService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
 	}
 	svc := New(reg, opts...)
 	for _, q := range corpus.CSEFleet(cfg) {
-		if err := svc.Register(q.ID, q.Text); err != nil {
+		var qopts []QueryOption
+		if soloTenants {
+			qopts = solo(q.ID)
+		}
+		if err := svc.Register(q.ID, q.Text, qopts...); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return svc
 }
 
+// sameVerdicts fails unless every execution of got carries the id,
+// verdict and error of the matching execution of want.
+func sameVerdicts(t *testing.T, label string, got, want []TickResult) {
+	t.Helper()
+	for ti := range want {
+		for i := range want[ti].Executions {
+			g, w := got[ti].Executions[i], want[ti].Executions[i]
+			if g.ID != w.ID || g.Value != w.Value || g.Err != w.Err {
+				t.Fatalf("%s tick %d tenant %s: verdict (%v, %q) != baseline (%v, %q)",
+					label, ti+1, w.ID, g.Value, g.Err, w.Value, w.Err)
+			}
+		}
+	}
+}
+
 // Property: on a fleet where every query's shape is unique, shape
-// factoring is a pure no-op — plans, costs and executions are
-// byte-identical to the unfactored service, tick for tick.
+// factoring is a pure no-op. Planned per query, the factored fleet's
+// plans, costs and executions are byte-identical, tick for tick, to the
+// unfactored baseline's (one soloExecutor per tenant). Under the default
+// pipeline, whose joint planner changes costs but never truth values,
+// every verdict matches the baseline and no execution is shared.
 func TestShapeFactoringAllUniqueByteIdentical(t *testing.T) {
 	cfg := corpus.CSEConfig{Tenants: 24, Shapes: 24, Streams: 8, Seed: 41}
-	run := func(factor bool) ([]TickResult, Metrics) {
-		svc := cseService(t, cfg, WithWorkers(1), WithShapeFactoring(factor))
-		return svc.Run(60), svc.Metrics()
-	}
-	ft, fm := run(true)
-	ut, um := run(false)
+	run := func(svc *Service) ([]TickResult, Metrics) { return svc.Run(60), svc.Metrics() }
+	ft, fm := run(cseService(t, cfg, WithWorkers(1), WithExecutor(independentExecutor{})))
+	ut, um := run(cseSoloService(t, cfg, WithWorkers(1)))
+	dt, dm := run(cseService(t, cfg, WithWorkers(1)))
 	if !reflect.DeepEqual(ft, ut) {
 		for i := range ft {
 			if !reflect.DeepEqual(ft[i], ut[i]) {
@@ -50,11 +84,17 @@ func TestShapeFactoringAllUniqueByteIdentical(t *testing.T) {
 		}
 		t.Fatal("tick results diverged")
 	}
-	if fm.SharedExecutions != 0 {
-		t.Errorf("all-unique fleet shared %d executions, want 0", fm.SharedExecutions)
+	sameVerdicts(t, "default pipeline", dt, ut)
+	for _, m := range []Metrics{fm, dm} {
+		if m.SharedExecutions != 0 {
+			t.Errorf("all-unique fleet shared %d executions, want 0", m.SharedExecutions)
+		}
+		if m.DistinctShapes != cfg.Tenants {
+			t.Errorf("DistinctShapes = %d, want %d", m.DistinctShapes, cfg.Tenants)
+		}
 	}
-	if fm.DistinctShapes != cfg.Tenants {
-		t.Errorf("DistinctShapes = %d, want %d", fm.DistinctShapes, cfg.Tenants)
+	if dm.FleetPlannedExecutions != dm.Executions {
+		t.Errorf("default pipeline fleet-planned %d of %d executions", dm.FleetPlannedExecutions, dm.Executions)
 	}
 	type cmp struct {
 		name string
@@ -85,11 +125,12 @@ func normalizeShared(e Execution) Execution {
 }
 
 // Property: over random duplicated-shape fleets, every tenant observes
-// exactly the per-query baseline — verdict, realized cost, modelled cost
-// and evaluated count — when factoring shares the evaluation. One worker
-// and per-query planning keep the baseline deterministic: a baseline
-// twin executes the leader's schedule against the items the leader just
-// pulled, so its realized cost is 0 there too.
+// exactly the per-query baseline (one soloExecutor per tenant) —
+// verdict, realized cost, modelled cost and evaluated count — when
+// factoring shares the evaluation. One worker and per-query planning
+// keep the baseline deterministic: a baseline twin executes the leader's
+// schedule against the items the leader just pulled, so its realized
+// cost is 0 there too.
 func TestShapeFactoringMatchesPerTenantBaseline(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		cfg := corpus.CSEConfig{
@@ -98,12 +139,9 @@ func TestShapeFactoringMatchesPerTenantBaseline(t *testing.T) {
 			Streams: 3 + trial%5,
 			Seed:    uint64(1000 + trial),
 		}
-		run := func(factor bool) []TickResult {
-			svc := cseService(t, cfg, WithWorkers(1), WithFleetPlanning(false),
-				WithCumulativeEstimator(), WithShapeFactoring(factor))
-			return svc.Run(8)
-		}
-		ft, ut := run(true), run(false)
+		ft := cseService(t, cfg, WithWorkers(1), WithExecutor(independentExecutor{}),
+			withCumulativeEstimator()).Run(8)
+		ut := cseSoloService(t, cfg, WithWorkers(1), withCumulativeEstimator()).Run(8)
 		for ti := range ft {
 			for i := range ft[ti].Executions {
 				fe, ue := normalizeShared(ft[ti].Executions[i]), ut[ti].Executions[i]
@@ -118,10 +156,10 @@ func TestShapeFactoringMatchesPerTenantBaseline(t *testing.T) {
 
 // Property: with the full default pipeline (joint fleet planning,
 // batching, windowed estimator), factoring must still deliver exactly
-// the baseline verdict to every tenant. Costs may differ — the joint
-// planner sees distinct shapes instead of the whole fleet, so twin
-// schedules and short-circuit pulls legitimately change — but truth
-// values cannot.
+// the unfactored baseline's verdict to every tenant. Costs may differ —
+// the joint planner sees distinct shapes instead of every tenant, so
+// twin schedules and short-circuit pulls legitimately change — but
+// truth values cannot.
 func TestShapeFactoringVerdictsMatchFleetPlanned(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		cfg := corpus.CSEConfig{
@@ -130,20 +168,9 @@ func TestShapeFactoringVerdictsMatchFleetPlanned(t *testing.T) {
 			Streams: 4 + trial%3,
 			Seed:    uint64(7000 + trial),
 		}
-		run := func(factor bool) []TickResult {
-			svc := cseService(t, cfg, WithWorkers(1), WithShapeFactoring(factor))
-			return svc.Run(12)
-		}
-		ft, ut := run(true), run(false)
-		for ti := range ft {
-			for i := range ft[ti].Executions {
-				fe, ue := ft[ti].Executions[i], ut[ti].Executions[i]
-				if fe.ID != ue.ID || fe.Value != ue.Value || fe.Err != ue.Err {
-					t.Fatalf("trial %d tick %d tenant %s: factored verdict (%v, %q) != baseline (%v, %q)",
-						trial, ti+1, ue.ID, fe.Value, fe.Err, ue.Value, ue.Err)
-				}
-			}
-		}
+		ft := cseService(t, cfg, WithWorkers(1)).Run(12)
+		ut := cseSoloService(t, cfg, WithWorkers(1)).Run(12)
+		sameVerdicts(t, fmt.Sprintf("trial %d", trial), ft, ut)
 	}
 }
 

@@ -3,7 +3,7 @@
 // worker, implemented directly by *Service for in-process workers and by
 // an HTTP client (see remote.go) for `paotrserve -worker` processes. The
 // coordinator owns the shard partitioner, the fleet-global L2 item relay
-// and the aggregated metrics; workers own their queries, striped L1
+// and the aggregated metrics; workers own their queries, their L1
 // caches, planners and estimators.
 package service
 
