@@ -20,6 +20,7 @@ import (
 	"paotr/internal/engine"
 	"paotr/internal/query"
 	"paotr/internal/stream"
+	"paotr/internal/trace"
 )
 
 func main() {
@@ -35,7 +36,8 @@ func main() {
 	}
 
 	reg := stream.Wearables(*seed)
-	eng := engine.New(reg)
+	store := trace.NewStore()
+	eng := engine.New(reg, engine.WithEstimator(store))
 	q, err := eng.Compile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paotrsim: %v\n", err)
@@ -80,8 +82,8 @@ func main() {
 		fmt.Printf("savings: %.1f%%\n", 100*(1-cache.Spent()/naive))
 	}
 	fmt.Println("\nlearned probabilities:")
-	for _, p := range eng.Traces().Predicates() {
-		est, n := eng.Traces().Estimate(p)
+	for _, p := range store.Predicates() {
+		est, n := store.Estimate(p)
 		fmt.Printf("  %-36s p=%.3f (%d evaluations)\n", p, est, n)
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"paotr/internal/engine"
 	"paotr/internal/stream"
+	"paotr/internal/trace"
 )
 
 const alertQuery = `(AVG(heart-rate,5) > 100 AND MAX(accelerometer,4) < 12)
@@ -29,7 +30,8 @@ func main() {
 	check(reg.Add(stream.SpO2(2015), stream.BLE))
 	check(reg.Add(stream.Accelerometer(2016), stream.WiFi))
 
-	eng := engine.New(reg)
+	store := trace.NewStore()
+	eng := engine.New(reg, engine.WithEstimator(store))
 	q, err := eng.Compile(alertQuery)
 	if err != nil {
 		panic(err)
@@ -66,8 +68,8 @@ func main() {
 	fmt.Printf("battery saved: %.1f%%\n\n", 100*(1-cache.Spent()/push))
 
 	fmt.Println("probabilities learned from history:")
-	for _, p := range eng.Traces().Predicates() {
-		est, n := eng.Traces().Estimate(p)
+	for _, p := range store.Predicates() {
+		est, n := store.Estimate(p)
 		fmt.Printf("  %-34s p=%.3f  (%d evals)\n", p, est, n)
 	}
 

@@ -328,6 +328,14 @@ func (w *Windowed) Evictions() int64 {
 	return w.evictions
 }
 
+// Len returns the number of predicates with live estimator state (at
+// most MaxPredicates when it is set).
+func (w *Windowed) Len() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.preds)
+}
+
 // SetEvictionHook installs an observer of MaxPredicates evictions: each
 // eviction batch reports how many predicate states were dropped. The
 // hook is called with the estimator's lock held and must not call back

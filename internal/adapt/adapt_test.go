@@ -182,8 +182,8 @@ func TestWindowedCapEvictsLeastRecentlyRecorded(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		w.Record(fmt.Sprintf("pred%03d", i), true)
 	}
-	if n := len(w.Predicates()); n > 64 {
-		t.Errorf("tracked predicates = %d, want <= cap 64", n)
+	if n := len(w.Predicates()); n > 64 || w.Len() != n {
+		t.Errorf("tracked predicates = %d (Len %d), want <= cap 64 and equal", n, w.Len())
 	}
 	if w.Evictions() == 0 {
 		t.Error("no evictions recorded past the cap")

@@ -6,6 +6,7 @@ import (
 
 	"paotr/internal/adapt"
 	"paotr/internal/stream"
+	"paotr/internal/trace"
 )
 
 // adaptRegistry builds two constant streams with distinct costs.
@@ -22,8 +23,8 @@ func adaptRegistry(t *testing.T) *stream.Registry {
 }
 
 // TestWithEstimatorDrivesPlanning: with a windowed estimator installed,
-// plan-time leaf probabilities come from it (not the cumulative store),
-// while the store keeps recording for persistence.
+// it is the engine's one estimator — plan-time leaf probabilities come
+// from it, and every recorded outcome lands in it.
 func TestWithEstimatorDrivesPlanning(t *testing.T) {
 	ad := adapt.NewWindowed(adapt.Config{Window: 8})
 	e := New(adaptRegistry(t), WithEstimator(ad))
@@ -32,8 +33,7 @@ func TestWithEstimatorDrivesPlanning(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := q.Preds[0].P.String()
-	// 20 successes then 8 failures: the window only remembers failures,
-	// the cumulative store remembers everything.
+	// 20 successes then 8 failures: the window only remembers failures.
 	for i := 0; i < 20; i++ {
 		e.record(key, true)
 	}
@@ -47,8 +47,11 @@ func TestWithEstimatorDrivesPlanning(t *testing.T) {
 	if want > 0.2 {
 		t.Errorf("windowed estimate %v should reflect only the failing window", want)
 	}
-	if cum, n := e.Traces().Estimate(key); n != 28 || cum < 0.6 {
-		t.Errorf("cumulative store = (%v, %d), want all 28 outcomes", cum, n)
+	if e.Estimator() != trace.Estimator(ad) {
+		t.Errorf("Estimator() = %T, want the installed windowed estimator", e.Estimator())
+	}
+	if ps := ad.Predicates(); len(ps) != 1 || ps[0].Evals != 28 {
+		t.Errorf("windowed estimator state = %+v, want one predicate with all 28 outcomes", ps)
 	}
 }
 

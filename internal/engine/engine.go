@@ -6,7 +6,7 @@
 // streams, paying for data acquisition and reusing cached items across
 // leaves.
 //
-// Every execution feeds outcomes back into the trace store and re-plans,
+// Every execution feeds outcomes back into the estimator and re-plans,
 // which is the adaptive behaviour of Lim, Misra and Mo [4].
 package engine
 
@@ -30,10 +30,6 @@ import (
 
 // Planner builds a schedule for a DNF tree with a cold cache.
 type Planner func(*query.Tree) sched.Schedule
-
-// WarmPlanner builds a schedule given the device cache state, pricing
-// already-held items as free.
-type WarmPlanner func(*query.Tree, sched.Warm) sched.Schedule
 
 // DefaultPlanner uses the paper's best heuristic (AND-ordered, increasing
 // C/p, dynamic) for DNF trees and the optimal Algorithm 1 for AND-trees.
@@ -59,13 +55,11 @@ func DefaultWarmPlanner(t *query.Tree, w sched.Warm) sched.Schedule {
 // compiled queries are safe for concurrent use: many queries may plan and
 // execute simultaneously against a shared acquisition cache.
 type Engine struct {
-	reg      *stream.Registry
-	traces   *trace.Store
-	plan     Planner     // set by WithPlanner; overrides warm planning
-	planWarm WarmPlanner // default planning path
-	// est is the probability estimator planners consult (default: the
-	// cumulative trace store itself; see WithEstimator). Realized
-	// outcomes are recorded into both the store and est.
+	reg  *stream.Registry
+	plan Planner // set by WithPlanner; overrides warm planning
+	// est is the probability estimator: every realized outcome is
+	// recorded into it once, and planners consult it (default: a fresh
+	// cumulative trace.Store; see WithEstimator).
 	est trace.Estimator
 	// costs, when set, overrides static per-item stream costs at plan
 	// time with learned ones (see WithCostSource).
@@ -108,15 +102,9 @@ type Option func(*Engine)
 // the engine then also reports cold-cache expected costs.
 func WithPlanner(p Planner) Option { return func(e *Engine) { e.plan = p } }
 
-// WithWarmPlanner overrides the cache-aware schedule planner.
-func WithWarmPlanner(p WarmPlanner) Option { return func(e *Engine) { e.planWarm = p } }
-
-// WithTraceStore supplies a pre-populated trace store.
-func WithTraceStore(s *trace.Store) Option { return func(e *Engine) { e.traces = s } }
-
-// WithEstimator installs a probability estimator consulted at plan time
-// in place of the cumulative trace store (which keeps recording outcomes
-// for persistence and inspection either way). When the estimator also
+// WithEstimator installs the probability estimator: the engine records
+// every realized outcome into it and consults it at plan time, in place
+// of the default cumulative trace store. When the estimator also
 // implements adapt's Subscribe, the engine subscribes to its detector
 // events and evicts exactly the affected cached plans on a trip.
 func WithEstimator(est trace.Estimator) Option { return func(e *Engine) { e.est = est } }
@@ -136,12 +124,12 @@ func WithReplanThreshold(eps float64) Option { return func(e *Engine) { e.replan
 
 // New creates an engine over the registry.
 func New(reg *stream.Registry, opts ...Option) *Engine {
-	e := &Engine{reg: reg, traces: trace.NewStore(), planWarm: DefaultWarmPlanner, queries: map[*Query]struct{}{}}
+	e := &Engine{reg: reg, queries: map[*Query]struct{}{}}
 	for _, o := range opts {
 		o(e)
 	}
 	if e.est == nil {
-		e.est = e.traces
+		e.est = trace.NewStore()
 	}
 	if sub, ok := e.est.(interface{ Subscribe(func(adapt.Event)) }); ok {
 		e.watchPlans = true
@@ -157,20 +145,11 @@ func New(reg *stream.Registry, opts ...Option) *Engine {
 	return e
 }
 
-// Traces exposes the engine's trace store.
-func (e *Engine) Traces() *trace.Store { return e.traces }
-
 // Estimator exposes the probability estimator planners consult.
 func (e *Engine) Estimator() trace.Estimator { return e.est }
 
-// record feeds one realized predicate outcome into the cumulative store
-// and, when a separate estimator is installed, into it as well.
-func (e *Engine) record(pred string, truth bool) {
-	e.traces.Record(pred, truth)
-	if e.est != nil && e.est != trace.Estimator(e.traces) {
-		e.est.Record(pred, truth)
-	}
-}
+// record feeds one realized predicate outcome into the estimator.
+func (e *Engine) record(pred string, truth bool) { e.est.Record(pred, truth) }
 
 // SetInvalidationHook installs an observer of forced plan invalidations:
 // after a detector trip evicts cached plans, the hook receives the trip
@@ -539,7 +518,7 @@ func (q *Query) Plan(cache *acquisition.Cache) (*Plan, error) {
 		s = q.engine.plan(t)
 		expected = sched.Cost(t, s)
 	} else {
-		s = q.engine.planWarm(t, warm)
+		s = DefaultWarmPlanner(t, warm)
 		expected = sched.CostWarm(t, s, warm)
 	}
 	if err := s.Validate(t); err != nil {
@@ -635,7 +614,7 @@ func maxDrift(a, b []float64) float64 {
 }
 
 // evalLeaf acquires leaf j's stream window from the cache, evaluates its
-// predicate and records the outcome in the trace store. It returns the
+// predicate and records the outcome in the estimator. It returns the
 // truth value and the acquisition cost paid (also on error, so callers
 // can account for partial acquisitions).
 func (q *Query) evalLeaf(t *query.Tree, j int, cache *acquisition.Cache) (bool, float64, error) {
@@ -710,7 +689,7 @@ func (s *orState) value() bool {
 
 // ExecutePlan runs a previously built plan against the cache's current
 // time, paying for acquisitions and recording predicate outcomes in the
-// trace store. The plan must have been built for the same cache state
+// estimator. The plan must have been built for the same cache state
 // (same Now and contents); Execute composes Plan and ExecutePlan.
 func (q *Query) ExecutePlan(p *Plan, cache *acquisition.Cache) (Result, error) {
 	t := p.Tree
@@ -736,7 +715,7 @@ func (q *Query) ExecutePlan(p *Plan, cache *acquisition.Cache) (Result, error) {
 }
 
 // Execute plans (or reuses a cached plan) and runs the query once against
-// the cache's current time, recording outcomes in the trace store. The
+// the cache's current time, recording outcomes in the estimator. The
 // caller advances time on the cache between executions (one execution per
 // arrival of new data, in the continuous-processing model of [4]).
 func (q *Query) Execute(cache *acquisition.Cache) (Result, error) {

@@ -8,6 +8,7 @@ import (
 	"paotr/internal/query"
 	"paotr/internal/sched"
 	"paotr/internal/stream"
+	"paotr/internal/trace"
 )
 
 func testRegistry(t *testing.T) *stream.Registry {
@@ -141,7 +142,8 @@ func TestCacheReuseAcrossLeaves(t *testing.T) {
 }
 
 func TestTraceFeedbackAdaptsProbabilities(t *testing.T) {
-	e := New(testRegistry(t))
+	store := trace.NewStore()
+	e := New(testRegistry(t), WithEstimator(store))
 	q, err := e.Compile("const-low < 5 AND const-high < 50")
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +161,8 @@ func TestTraceFeedbackAdaptsProbabilities(t *testing.T) {
 	// short-circuits the TRUE leaf, so the TRUE leaf keeps only its early
 	// observations (estimate above the 0.5 prior but possibly far from 1)
 	// while the failing leaf's estimate is driven toward 0.
-	pLow, nLow := e.Traces().Estimate("const-low < 5")
-	pHigh, nHigh := e.Traces().Estimate("const-high < 50")
+	pLow, nLow := store.Estimate("const-low < 5")
+	pHigh, nHigh := store.Estimate("const-high < 50")
 	if nLow == 0 || pLow <= 0.5 {
 		t.Errorf("pLow = %v after %d evals", pLow, nLow)
 	}

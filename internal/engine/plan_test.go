@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"paotr/internal/stream"
+	"paotr/internal/trace"
 )
 
 // planReg is a registry of constant streams: stable values, so warm cache
@@ -55,7 +56,8 @@ func TestPlanCacheReusesOnStableState(t *testing.T) {
 }
 
 func TestPlanCacheRePlansOnProbabilityDrift(t *testing.T) {
-	e := New(planReg(t), WithReplanThreshold(0.05))
+	store := trace.NewStore()
+	e := New(planReg(t), WithEstimator(store), WithReplanThreshold(0.05))
 	// No annotations: probabilities come from the trace store, which we
 	// drift by hand between plans.
 	q, err := e.Compile("a > 5 AND b > 15")
@@ -96,7 +98,7 @@ func TestPlanCacheRePlansOnProbabilityDrift(t *testing.T) {
 	// Drift the estimate past the threshold by recording failures; the
 	// next plan must not reuse.
 	for i := 0; i < 10; i++ {
-		e.Traces().Record("a > 5", false)
+		store.Record("a > 5", false)
 	}
 	p, err = q.Plan(cache)
 	if err != nil {

@@ -321,27 +321,12 @@ func PlanJoint(trees []*query.Tree, warm sched.Warm) *Plan {
 	return planJoint(trees, nil, warm, false)
 }
 
-// PlanJointWeighted is PlanJoint over shape equivalence classes: tree qi
-// stands for weights[qi] interned subscriber queries (nil weights mean
-// all 1, degenerating exactly to PlanJoint). Weights only break exact
-// selection-key ties — a factored shape executes once regardless of its
-// subscriber count, so the joint objective itself is weight-invariant.
-func PlanJointWeighted(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	return planJoint(trees, weights, warm, false)
-}
-
 // PlanJointReference plans with the seed O(u²) selection scan instead of
 // the lazy heap. It exists as the byte-identity oracle for the heap
 // planner's property tests and as the baseline BENCH_plan.json measures
 // the plan-time speedup against; production callers want PlanJoint.
 func PlanJointReference(trees []*query.Tree, warm sched.Warm) *Plan {
 	return planJoint(trees, nil, warm, true)
-}
-
-// PlanJointReferenceWeighted is the quadratic oracle for
-// PlanJointWeighted (same weighted tie-break, scan selection).
-func PlanJointReferenceWeighted(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	return planJoint(trees, weights, warm, true)
 }
 
 func planJoint(trees []*query.Tree, weights []int, warm sched.Warm, quadratic bool) *Plan {

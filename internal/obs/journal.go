@@ -21,8 +21,8 @@ const (
 	// EventRelayPublish: a shard published an item to the fleet-global L2
 	// relay for the first time (Stream/Detail identify the item).
 	EventRelayPublish = "relay-publish"
-	// EventEstimatorEviction: the windowed estimator evicted cold
-	// predicate traces to stay under its cap (Count = traces evicted).
+	// EventEstimatorEviction: the windowed estimator evicted idle
+	// predicate states to stay under its bound (Count = states evicted).
 	EventEstimatorEviction = "estimator-eviction"
 	// EventAdmit / EventDefer / EventShed: the admission controller's
 	// verdict on a registration (Pred carries the query id, Before the
@@ -51,7 +51,7 @@ type Event struct {
 	Before float64 `json:"before,omitempty"`
 	After  float64 `json:"after,omitempty"`
 	// Count is the magnitude of bulk events (plans dropped, queries
-	// moved, traces evicted).
+	// moved, predicate states evicted).
 	Count  int    `json:"count,omitempty"`
 	Detail string `json:"detail,omitempty"`
 }

@@ -11,6 +11,7 @@ import (
 	"paotr/internal/adapt"
 	"paotr/internal/corpus"
 	"paotr/internal/engine"
+	"paotr/internal/obs"
 )
 
 // regimeService builds a service over the regime-shift corpus with every
@@ -289,4 +290,81 @@ func TestWriteAdaptBenchJSON(t *testing.T) {
 	}
 	t.Logf("wrote %s: adaptive %.2f vs stale %.2f J/tick post-shift (%.1f%% saving)",
 		out, file.AdaptiveJPerTick, file.StaleJPerTick, file.SavingPct)
+}
+
+// TestEstimatorMetricsReportPlanningEstimator pins TrackedPredicates and
+// TraceEvictions to the estimator the engine plans with: under a
+// MaxPredicates bound of 8, twenty single-leaf tenants churn the windowed
+// estimator's predicate states, and the metrics, the estimator's own
+// counters and the estimator-eviction journal events must all agree — on
+// a plain service and summed over an in-process 2-shard fleet, whose
+// AvgCIWidth is weighted by the same per-shard counts.
+func TestEstimatorMetricsReportPlanningEstimator(t *testing.T) {
+	const tenants, bound, ticks = 20, 8, 5
+	register := func(rt Runtime) {
+		for i := 0; i < tenants; i++ {
+			if err := rt.Register(fmt.Sprintf("t%d", i), fmt.Sprintf("AVG(private%d,4) > 0.2", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkJournal := func(j *obs.Journal, want int64) {
+		t.Helper()
+		var sum int64
+		for _, ev := range j.Events(obs.EventEstimatorEviction, 0) {
+			if ev.Detail != "windowed predicate states evicted" {
+				t.Errorf("estimator-eviction event from another source: %+v", ev)
+			}
+			sum += int64(ev.Count)
+		}
+		if sum != want {
+			t.Errorf("journaled evictions = %d, want the estimator's %d", sum, want)
+		}
+	}
+	cfg := WithAdaptConfig(adapt.Config{MaxPredicates: bound})
+
+	svc := New(overlapRegistry(t, tenants, 7), WithWorkers(1), cfg)
+	register(svc)
+	tickAll(t, svc, ticks)
+	m := svc.Metrics()
+	if m.TrackedPredicates > bound || m.TrackedPredicates != svc.Adaptive().Len() {
+		t.Errorf("TrackedPredicates = %d, want the estimator's %d (<= %d)", m.TrackedPredicates, svc.Adaptive().Len(), bound)
+	}
+	if ev := svc.Adaptive().Evictions(); m.TraceEvictions != ev || ev == 0 {
+		t.Errorf("TraceEvictions = %d, want the estimator's %d > 0", m.TraceEvictions, ev)
+	}
+	checkJournal(svc.Journal(), m.TraceEvictions)
+
+	sh := NewSharded(overlapRegistry(t, tenants, 7), 2, WithWorkers(1), cfg)
+	register(sh)
+	sh.Run(ticks)
+	m = sh.Metrics()
+	var tracked int
+	var evictions int64
+	var ci float64
+	for i := 0; i < 2; i++ {
+		ad := sh.Shard(i).Adaptive()
+		if ad.Len() > bound {
+			t.Errorf("shard %d estimator tracks %d predicates, want <= %d", i, ad.Len(), bound)
+		}
+		tracked += ad.Len()
+		evictions += ad.Evictions()
+		ci += ad.AvgCIWidth() * float64(ad.Len())
+	}
+	if m.TrackedPredicates != tracked || m.TraceEvictions != evictions || evictions == 0 {
+		t.Errorf("sharded TrackedPredicates/TraceEvictions = %d/%d, want the estimators' %d/%d (> 0 evictions)",
+			m.TrackedPredicates, m.TraceEvictions, tracked, evictions)
+	}
+	if want := ci / float64(tracked); math.Abs(m.AvgCIWidth-want) > 1e-12 {
+		t.Errorf("sharded AvgCIWidth = %v, want %v weighted by estimator counts", m.AvgCIWidth, want)
+	}
+	checkJournal(sh.Journal(), evictions)
+
+	// The cumulative baseline never evicts: it reports its store's size.
+	cum := New(overlapRegistry(t, tenants, 7), WithWorkers(1), withCumulativeEstimator())
+	register(cum)
+	tickAll(t, cum, ticks)
+	if cm := cum.Metrics(); cm.TrackedPredicates != tenants || cm.TraceEvictions != 0 {
+		t.Errorf("cumulative TrackedPredicates/TraceEvictions = %d/%d, want %d/0", cm.TrackedPredicates, cm.TraceEvictions, tenants)
+	}
 }

@@ -2,9 +2,10 @@
 // registration without performing it, the read-only front half of
 // admission control. The plain service quotes against its own resident
 // fleet via fleet.QuoteJoint (a strict dry run on the joint planner);
-// the sharded coordinator routes the quote to the shard the query would
-// be placed on, so the price reflects the sharing actually available
-// there.
+// the sharded coordinator routes the quote to the worker of the shard
+// the query would be placed on — in-process or a remote `paotrserve
+// -worker` alike (see Worker) — so the price reflects the sharing
+// actually available there.
 package service
 
 import (
@@ -142,11 +143,10 @@ func (s *Service) scaleTreeCosts(trees []*query.Tree) {
 }
 
 // QuoteRegister on the sharded coordinator prices the registration on
-// the shard it would be placed on: twins of a placed class are free,
-// otherwise the placement shard's worker quotes against its resident
-// fleet. Remote workers (paotrserve -worker processes) fall back to the
-// independent price of a neutrally compiled tree — the upper bound of
-// the marginal cost.
+// the shard it would be placed on: a twin of a placed class goes to its
+// owner, anything else to the shard the partitioner would pick, and that
+// worker quotes against its resident fleet (Worker.QuoteRegister; a
+// remote worker answers over POST /worker/quote).
 func (sh *Sharded) QuoteRegister(id, text string, opts ...QueryOption) (Quote, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -166,23 +166,5 @@ func (sh *Sharded) QuoteRegister(id, text string, opts ...QueryOption) (Quote, e
 			target = shard.PlaceOne(prof, sh.profilesLocked(), sh.assign, sh.shardConfig())
 		}
 	}
-	type quoter interface {
-		QuoteRegister(id, text string, opts ...QueryOption) (Quote, error)
-	}
-	if w, ok := sh.workers[target].(quoter); ok {
-		return w.QuoteRegister(id, text, opts...)
-	}
-	// Remote worker: quote the no-sharing upper bound from a neutral
-	// compile (prior probabilities, static costs, cold cache).
-	q, err := engine.New(sh.reg).Compile(text)
-	if err != nil {
-		return Quote{}, fmt.Errorf("service: compiling %q: %w", id, err)
-	}
-	tree := q.Tree()
-	cold := make(sched.Warm, len(tree.Streams))
-	for k, d := range tree.StreamMaxItems() {
-		cold[k] = make([]bool, d)
-	}
-	p := fleet.PlanJoint([]*query.Tree{tree}, cold)
-	return Quote{MarginalJPerTick: p.Expected, IndependentJPerTick: p.Expected}, nil
+	return sh.workers[target].QuoteRegister(id, text, opts...)
 }

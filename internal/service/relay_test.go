@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"paotr/internal/acquisition"
@@ -184,7 +185,19 @@ func TestShardedRelayPlannerDiscount(t *testing.T) {
 // WorkerHandler) sharing one corpus seed, and returns their endpoints.
 func startRemoteFleet(t *testing.T, tenants, n int, frac float64, seed uint64) []string {
 	t.Helper()
+	servers := startRemoteServers(t, tenants, n, frac, seed)
 	endpoints := make([]string, n)
+	for i, srv := range servers {
+		endpoints[i] = srv.URL
+	}
+	return endpoints
+}
+
+// startRemoteServers is startRemoteFleet returning the servers, for
+// tests that take a worker down.
+func startRemoteServers(t *testing.T, tenants, n int, frac float64, seed uint64) []*httptest.Server {
+	t.Helper()
+	servers := make([]*httptest.Server, n)
 	for i := 0; i < n; i++ {
 		reg := overlapRegistry(t, tenants, seed)
 		var mirror *acquisition.ItemRelay
@@ -195,9 +208,9 @@ func startRemoteFleet(t *testing.T, tenants, n int, frac float64, seed uint64) [
 		}
 		srv := httptest.NewServer(NewWorkerHandler(New(reg, opts...), mirror))
 		t.Cleanup(srv.Close)
-		endpoints[i] = srv.URL
+		servers[i] = srv
 	}
-	return endpoints
+	return servers
 }
 
 // TestShardedRemoteWorkers drives the coordinator over HTTP workers:
@@ -324,6 +337,84 @@ func TestShardedRemoteWorkersEscapeIDs(t *testing.T) {
 	}
 	if tr := sh.Tick(); len(tr.Executions) != 0 {
 		t.Fatalf("after unregistering every id, tick merged %d executions: %+v", len(tr.Executions), tr.Executions)
+	}
+}
+
+// TestShardedRemoteWorkersQuoteLikeLocal: a coordinator over remote
+// workers prices registrations exactly as the in-process runtime does —
+// a twin of a resident shape is free and shared, and every quote, before
+// and after ticks warm the caches, equals the in-process 2-shard quote.
+func TestShardedRemoteWorkersQuoteLikeLocal(t *testing.T) {
+	const tenants, seed = 6, 11
+	remote, err := NewShardedRemote(overlapRegistry(t, tenants, seed), startRemoteFleet(t, tenants, 2, 0, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := NewSharded(overlapRegistry(t, tenants, seed), 2, WithWorkers(1))
+	overlapFleet(t, remote, tenants)
+	overlapFleet(t, local, tenants)
+	if !reflect.DeepEqual(remote.Assignment(), local.Assignment()) {
+		t.Fatalf("placements differ: remote %v, local %v", remote.Assignment(), local.Assignment())
+	}
+	twin := "(AVG(shared,4) > 0.2 [p=0.5]) OR (AVG(private0,4) > 0.2 [p=0.5])"
+	texts := []string{
+		twin,
+		"AVG(shared,4) > 0.3 [p=0.4]",
+		"(AVG(shared,4) > 0.2 [p=0.5]) AND (AVG(private1,4) > 0.2 [p=0.6])",
+		"AVG(private2,2) < 0.7",
+	}
+	compare := func(phase string) {
+		t.Helper()
+		for i, text := range texts {
+			id := fmt.Sprintf("new%d", i)
+			rq, err := remote.QuoteRegister(id, text)
+			if err != nil {
+				t.Fatalf("%s: remote quote %q: %v", phase, text, err)
+			}
+			lq, err := local.QuoteRegister(id, text)
+			if err != nil {
+				t.Fatalf("%s: local quote %q: %v", phase, text, err)
+			}
+			if rq != lq {
+				t.Errorf("%s: quote %q: remote %+v, local %+v", phase, text, rq, lq)
+			}
+			if text == twin && (!rq.SharedShape || rq.MarginalJPerTick != 0) {
+				t.Errorf("%s: twin quote %+v, want SharedShape and 0 J", phase, rq)
+			}
+		}
+	}
+	compare("cold")
+	remote.Run(10)
+	local.Run(10)
+	compare("after 10 ticks")
+}
+
+// TestShardedRemoteMetricsMonotonic: a worker that stops answering must
+// not pull the fleet's cumulative counters backwards — the coordinator
+// keeps merging that worker's last good metrics snapshot.
+func TestShardedRemoteMetricsMonotonic(t *testing.T) {
+	const tenants = 6
+	servers := startRemoteServers(t, tenants, 2, 0, 13)
+	sh, err := NewShardedRemote(overlapRegistry(t, tenants, 13), []string{servers[0].URL, servers[1].URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlapFleet(t, sh, tenants)
+	var prev Metrics
+	for tick := 0; tick < 20; tick++ {
+		if tick == 10 {
+			servers[1].Close()
+		}
+		sh.Tick()
+		m := sh.Metrics()
+		if m.Executions < prev.Executions || m.PaidCost < prev.PaidCost {
+			t.Fatalf("tick %d: merged counters ran backwards: executions %d -> %d, paid %.3f -> %.3f",
+				tick, prev.Executions, m.Executions, prev.PaidCost, m.PaidCost)
+		}
+		prev = m
+	}
+	if prev.Executions <= int64(10*tenants)/2 {
+		t.Errorf("fleet executions = %d: the surviving worker stopped counting", prev.Executions)
 	}
 }
 

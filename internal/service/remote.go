@@ -132,6 +132,7 @@ func NewWorkerHandler(svc *Service, mirror *acquisition.ItemRelay) *WorkerHandle
 	h.mux.HandleFunc("POST /worker/queries", h.handleRegister)
 	h.mux.HandleFunc("GET /worker/queries", h.handleList)
 	h.mux.HandleFunc("DELETE /worker/queries/{id...}", h.handleUnregister)
+	h.mux.HandleFunc("POST /worker/quote", h.handleQuote)
 	h.mux.HandleFunc("POST /worker/tick", h.handleTick)
 	h.mux.HandleFunc("GET /worker/results/{id...}", h.handleResults)
 	h.mux.HandleFunc("GET /worker/query-metrics/{id...}", h.handleQueryMetrics)
@@ -168,22 +169,38 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func (h *WorkerHandler) handleRegister(w http.ResponseWriter, r *http.Request) {
+// decodeRegistration reads a wire-form registration and its options,
+// answering 400 itself when either does not decode.
+func decodeRegistration(w http.ResponseWriter, r *http.Request) (workerQuery, []QueryOption, bool) {
 	var wq workerQuery
 	if !decodeBody(w, r, &wq) {
-		return
+		return wq, nil, false
 	}
 	opts, err := decodeQueryOpts(wq)
 	if err != nil {
 		workerErr(w, http.StatusBadRequest, err)
+		return wq, nil, false
+	}
+	return wq, opts, true
+}
+
+// registrationErr answers a failed Register or QuoteRegister: 409 for a
+// taken id, 400 otherwise.
+func registrationErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, ErrDuplicateID) {
+		status = http.StatusConflict
+	}
+	workerErr(w, status, err)
+}
+
+func (h *WorkerHandler) handleRegister(w http.ResponseWriter, r *http.Request) {
+	wq, opts, ok := decodeRegistration(w, r)
+	if !ok {
 		return
 	}
 	if err := h.svc.Register(wq.ID, wq.Query, opts...); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrDuplicateID) {
-			status = http.StatusConflict
-		}
-		workerErr(w, status, err)
+		registrationErr(w, err)
 		return
 	}
 	h.mu.Lock()
@@ -191,6 +208,19 @@ func (h *WorkerHandler) handleRegister(w http.ResponseWriter, r *http.Request) {
 	h.order = append(h.order, wq.ID)
 	h.mu.Unlock()
 	workerJSON(w, http.StatusCreated, map[string]string{"status": "registered"})
+}
+
+func (h *WorkerHandler) handleQuote(w http.ResponseWriter, r *http.Request) {
+	wq, opts, ok := decodeRegistration(w, r)
+	if !ok {
+		return
+	}
+	q, err := h.svc.QuoteRegister(wq.ID, wq.Query, opts...)
+	if err != nil {
+		registrationErr(w, err)
+		return
+	}
+	workerJSON(w, http.StatusOK, q)
 }
 
 func (h *WorkerHandler) handleList(w http.ResponseWriter, r *http.Request) {
@@ -325,8 +355,10 @@ func (h *WorkerHandler) handleCostScale(w http.ResponseWriter, r *http.Request) 
 
 // remoteWorker drives one WorkerHandler over HTTP, implementing Worker
 // for the coordinator. Transport failures on read paths degrade to zero
-// values (the coordinator's merge treats the worker as idle that tick);
-// failures on Register/Unregister surface as errors.
+// values (the coordinator's merge treats the worker as idle that tick),
+// except Metrics, which repeats the last good snapshot so merged fleet
+// counters never run backwards; failures on Register/Unregister and
+// quotes surface as errors.
 type remoteWorker struct {
 	base string
 	hc   *http.Client
@@ -340,6 +372,10 @@ type remoteWorker struct {
 	// ticks counts Tick calls, advancing the global relay's pruning clock.
 	sent  int64
 	ticks int64
+
+	// lastMu guards last, the most recent successfully scraped Metrics.
+	lastMu sync.Mutex
+	last   Metrics
 }
 
 func newRemoteWorker(base string, global *acquisition.ItemRelay) *remoteWorker {
@@ -401,6 +437,19 @@ func (rw *remoteWorker) Register(id, text string, opts ...QueryOption) error {
 	return rw.call(http.MethodPost, "/worker/queries", wq, nil)
 }
 
+// QuoteRegister sends the registration in its wire form to the worker's
+// quote endpoint, which prices it against the worker's resident fleet
+// exactly as an in-process worker would.
+func (rw *remoteWorker) QuoteRegister(id, text string, opts ...QueryOption) (Quote, error) {
+	wq, err := encodeQueryOpts(id, text, opts)
+	if err != nil {
+		return Quote{}, err
+	}
+	var out Quote
+	err = rw.call(http.MethodPost, "/worker/quote", wq, &out)
+	return out, err
+}
+
 // Unregister, like the per-query reads below, sends the id as one
 // escaped path segment: a raw "?", "#" or "%" would otherwise cut or
 // corrupt the URL (the worker's {id...} routes unescape it, "/"
@@ -442,11 +491,19 @@ func (rw *remoteWorker) QueryMetrics(id string) (QueryMetrics, error) {
 	return out, err
 }
 
+// Metrics scrapes the worker; when the scrape fails it returns the last
+// good snapshot instead, so a transient failure does not drop the
+// worker's cumulative counters out of the fleet merge (a monitoring
+// system would read that drop as a counter reset).
 func (rw *remoteWorker) Metrics() Metrics {
 	var out Metrics
-	if err := rw.call(http.MethodGet, "/worker/metrics", nil, &out); err != nil {
-		return Metrics{}
+	err := rw.call(http.MethodGet, "/worker/metrics", nil, &out)
+	rw.lastMu.Lock()
+	defer rw.lastMu.Unlock()
+	if err != nil {
+		return rw.last
 	}
+	rw.last = out
 	return out
 }
 
@@ -506,9 +563,9 @@ func (rw *remoteWorker) listQueries() ([]workerQuery, error) {
 // queries the workers already hold are adopted into the coordinator's
 // assignment (coordinator restart), keyed by each worker's registration
 // order. Options configure the coordinator-side knobs (WithRelay,
-// WithShardBalance, WithRepartitionEvery); the worker processes carry
-// their own service configuration. The cross-shard duplicate ledger is
-// in-process only and stays off in remote mode.
+// WithRepartitionEvery); the worker processes carry their own service
+// configuration. The cross-shard duplicate ledger is in-process only and
+// stays off in remote mode.
 func NewShardedRemote(reg *stream.Registry, endpoints []string, opts ...Option) (*Sharded, error) {
 	if len(endpoints) == 0 {
 		return nil, errors.New("service: no worker endpoints")

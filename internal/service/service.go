@@ -1,6 +1,6 @@
 // Package service turns the single-query engine into a concurrent
 // multi-query scheduling service: many compiled queries share one stream
-// registry, one acquisition cache and one trace store, time advances in
+// registry, one acquisition cache and one estimator, time advances in
 // ticks, and every query due at a tick executes on a worker pool.
 //
 // Sharing is the point of the paper's model — a data item pulled for one
@@ -253,13 +253,11 @@ type config struct {
 	engOpts  []engine.Option
 	exec     engine.Executor
 	adaptCfg adapt.Config
-	traceCap int
 	ledger   *acquisition.Ledger
 	relay    *acquisition.ItemRelay
-	// repartEvery, balance and relayFrac configure the sharded runtime
-	// (see NewSharded); a plain Service ignores them.
+	// repartEvery and relayFrac configure the sharded runtime (see
+	// NewSharded); a plain Service ignores them.
 	repartEvery int64
-	balance     float64
 	relayFrac   float64
 	shardIdx    int
 	// Observability wiring (see internal/obs): traceSample enables tick
@@ -287,7 +285,7 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 func WithHistory(n int) Option { return func(c *config) { c.history = n } }
 
 // WithEngineOptions forwards options to the underlying engine (planner
-// overrides, trace store, replan threshold).
+// overrides, estimator, replan threshold).
 func WithEngineOptions(opts ...engine.Option) Option {
 	return func(c *config) { c.engOpts = append(c.engOpts, opts...) }
 }
@@ -350,19 +348,6 @@ func WithRepartitionEvery(n int) Option {
 	return func(c *config) { c.repartEvery = int64(n) }
 }
 
-// WithShardBalance sets the sharded partitioner's load-balance weight:
-// a query joins a shard when the expected spend it would share there
-// exceeds this factor times the overload it would cause beyond the mean
-// shard load (default 1; see shard.Config). A plain Service ignores it.
-func WithShardBalance(f float64) Option {
-	return func(c *config) { c.balance = f }
-}
-
-// WithTraceCap bounds the number of distinct predicates the cumulative
-// trace store retains (default 8192; 0 removes the bound). Churning
-// tenant registration otherwise grows the store forever.
-func WithTraceCap(n int) Option { return func(c *config) { c.traceCap = n } }
-
 // WithTraceSampling enables the span-style tick tracer at construction:
 // every n-th tick records one structured trace (phase durations, due
 // classes, plan cache hits vs replans, expected vs realized cost per
@@ -388,7 +373,7 @@ func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } 
 // from a sliding window of realized outcomes, and change detectors
 // actively invalidate affected plans.
 func New(reg *stream.Registry, opts ...Option) *Service {
-	cfg := config{workers: runtime.GOMAXPROCS(0), history: 64, traceCap: -1}
+	cfg := config{workers: runtime.GOMAXPROCS(0), history: 64}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -409,10 +394,6 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 		engOpts = append([]engine.Option{engine.WithEstimator(ad), engine.WithCostSource(ad)}, engOpts...)
 	}
 	eng := engine.New(reg, engOpts...)
-	if cfg.traceCap < 0 {
-		cfg.traceCap = 8192
-	}
-	eng.Traces().SetCap(cfg.traceCap)
 	s := &Service{
 		reg:             reg,
 		eng:             eng,
@@ -448,10 +429,10 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 		s.tracer.SetSample(cfg.traceSample)
 	}
 	// Rare structural events feed the journal: forced plan evictions from
-	// the engine (detector trips land there first) and estimator-state
-	// evictions under the trace cap. Both hooks fire while the emitting
-	// component's lock is held, so they only append — the journal is a
-	// leaf lock.
+	// the engine (detector trips land there first) and, below, predicate
+	// state evictions under the windowed estimator's bound. Both hooks
+	// fire while the emitting component's lock is held, so they only
+	// append — the journal is a leaf lock.
 	eng.SetInvalidationHook(func(kind, pred string, stream, dropped int) {
 		ev := obs.Event{Type: obs.EventForcedReplan, Tick: s.tickNow.Load(), Shard: s.shardIdx,
 			Pred: pred, Count: dropped, Detail: "query plans invalidated (" + kind + " trip)"}
@@ -459,10 +440,6 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 			ev.Stream = stream
 		}
 		s.journal.Append(ev)
-	})
-	eng.Traces().SetEvictionHook(func(n int) {
-		s.journal.Append(obs.Event{Type: obs.EventEstimatorEviction, Tick: s.tickNow.Load(),
-			Shard: s.shardIdx, Count: n, Detail: "trace-store predicates evicted"})
 	})
 	if cfg.ledger != nil {
 		s.cache.SetLedger(cfg.ledger)
@@ -603,7 +580,7 @@ func (s *Service) SetStreamCostScale(scale []float64) {
 // inspection.
 func (s *Service) Adaptive() *adapt.Windowed { return s.ad }
 
-// Engine exposes the shared engine (e.g. for trace-store inspection).
+// Engine exposes the shared engine.
 func (s *Service) Engine() *engine.Engine { return s.eng }
 
 // Cache exposes the shared acquisition cache.
@@ -1565,9 +1542,11 @@ type Metrics struct {
 	// predicates — the fleet's evidence gauge (small = estimates are
 	// well-backed; 1 = no evidence).
 	AvgCIWidth float64 `json:"avg_ci_width,omitempty"`
-	// TrackedPredicates is the number of distinct predicates in the trace
-	// store; TraceEvictions counts predicates evicted to honour its cap
-	// (see WithTraceCap).
+	// TrackedPredicates is the number of predicates with live state in
+	// the estimator the engine plans with; TraceEvictions counts the
+	// predicate states it evicted to honour its bound (the windowed
+	// estimator's adapt.Config.MaxPredicates; the unbounded cumulative
+	// baseline never evicts).
 	TrackedPredicates int   `json:"tracked_predicates"`
 	TraceEvictions    int64 `json:"trace_evictions"`
 	// CacheRequested / CacheTransferred / CacheHitRate report shared
@@ -1776,8 +1755,12 @@ func (s *Service) Metrics() Metrics {
 	}
 	m.Estimator = "cumulative"
 	m.ReplansForced = s.eng.ReplansForced() + s.fleetInvalidated.Load()
-	m.TrackedPredicates = s.eng.Traces().Len()
-	m.TraceEvictions = s.eng.Traces().Evictions()
+	if est, ok := s.eng.Estimator().(interface{ Len() int }); ok {
+		m.TrackedPredicates = est.Len()
+	}
+	if est, ok := s.eng.Estimator().(interface{ Evictions() int64 }); ok {
+		m.TraceEvictions = est.Evictions()
+	}
 	learned := map[int]adapt.StreamCostState{}
 	if s.ad != nil {
 		m.Estimator = s.ad.Name()

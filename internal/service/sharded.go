@@ -72,9 +72,7 @@ type Sharded struct {
 	relay     *acquisition.ItemRelay
 	relayFrac float64
 	k         int
-	// balance and repartEvery come from WithShardBalance /
-	// WithRepartitionEvery.
-	balance     float64
+	// repartEvery comes from WithRepartitionEvery.
 	repartEvery int64
 
 	assign   map[string]int
@@ -167,7 +165,6 @@ func newShardedShell(reg *stream.Registry, k int, cfg config) *Sharded {
 	sh := &Sharded{
 		reg:         reg,
 		k:           k,
-		balance:     cfg.balance,
 		repartEvery: cfg.repartEvery,
 		assign:      map[string]int{},
 		regInfo:     map[string]*shardedQuery{},
@@ -233,7 +230,7 @@ func (sh *Sharded) Relay() *acquisition.ItemRelay { return sh.relay }
 
 // shardConfig is the partitioner configuration of this runtime.
 func (sh *Sharded) shardConfig() shard.Config {
-	return shard.Config{Shards: sh.k, Balance: sh.balance, RelayFrac: sh.relayFrac}
+	return shard.Config{Shards: sh.k, RelayFrac: sh.relayFrac}
 }
 
 // tripsNowLocked totals detector trips across workers — the drift

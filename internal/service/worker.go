@@ -25,6 +25,9 @@ type Worker interface {
 	Results(id string, n int) ([]Execution, error)
 	QueryMetrics(id string) (QueryMetrics, error)
 	Metrics() Metrics
+	// QuoteRegister prices a registration against the worker's resident
+	// fleet without performing it (see Service.QuoteRegister).
+	QuoteRegister(id, text string, opts ...QueryOption) (Quote, error)
 
 	// ProfileTree returns the query's probability-annotated tree and its
 	// predicate trace keys — what the coordinator profiles placements

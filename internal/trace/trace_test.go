@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -145,39 +146,28 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestCapEvictsLeastRecentlyRecorded(t *testing.T) {
-	s := NewStore()
-	s.SetCap(3)
-	for i := 0; i < 5; i++ {
-		for j := 0; j <= i; j++ {
-			s.Record(string(rune('a'+i)), true)
+// TestOldestKeysEvictsLeastRecentlyStamped pins the bounded-state
+// eviction policy the windowed estimator uses: nothing while the cap
+// holds, then the oldest stamps first, over-evicting by cap/16.
+func TestOldestKeysEvictsLeastRecentlyStamped(t *testing.T) {
+	stamps := map[string]int64{}
+	for i := 0; i < 32; i++ {
+		stamps[fmt.Sprintf("p%02d", i)] = int64(i)
+	}
+	if got := OldestKeys(stamps, 32); got != nil {
+		t.Errorf("at the cap: evict %v, want nothing", got)
+	}
+	if got := OldestKeys(stamps, 0); got != nil {
+		t.Errorf("cap 0 (unbounded): evict %v, want nothing", got)
+	}
+	// Cap 16 over 32 keys: 16 over the bound plus 16/16 = 1 slack.
+	got := OldestKeys(stamps, 16)
+	if len(got) != 17 {
+		t.Fatalf("evicted %d keys, want 17", len(got))
+	}
+	for i, key := range got {
+		if want := fmt.Sprintf("p%02d", i); key != want {
+			t.Errorf("eviction %d = %q, want %q (oldest first)", i, key, want)
 		}
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d after cap-3 churn, want 3", s.Len())
-	}
-	if s.Evictions() != 2 {
-		t.Errorf("Evictions = %d, want 2", s.Evictions())
-	}
-	// The two oldest predicates ("a", "b") are gone; the rest survive.
-	if got := s.Predicates(); len(got) != 3 || got[0] != "c" || got[2] != "e" {
-		t.Errorf("surviving predicates = %v, want [c d e]", got)
-	}
-	// Recording an evicted predicate starts it fresh.
-	if st := s.StatsFor("a"); st.Evals != 0 {
-		t.Errorf("evicted predicate kept stats: %+v", st)
-	}
-	// Shrinking the cap evicts immediately.
-	s.SetCap(1)
-	if s.Len() != 1 || s.Evictions() != 4 {
-		t.Errorf("after SetCap(1): Len=%d Evictions=%d, want 1 and 4", s.Len(), s.Evictions())
-	}
-	// Cap 0 removes the bound.
-	s.SetCap(0)
-	for i := 0; i < 10; i++ {
-		s.Record(string(rune('p'+i)), false)
-	}
-	if s.Len() != 11 {
-		t.Errorf("uncapped Len = %d, want 11", s.Len())
 	}
 }
